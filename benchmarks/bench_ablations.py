@@ -53,10 +53,12 @@ def test_ablation_partitioner(dataset, benchmark):
         ratios = {"multilevel": [], "random": []}
         for s in sources:
             ratios["multilevel"].append(
-                engine_cut.query(s, ETA).candidate_ratio
+                len(engine_cut.candidates(s, ETA).candidates)
+                / graph.num_nodes
             )
             ratios["random"].append(
-                engine_rand.query(s, ETA).candidate_ratio
+                len(engine_rand.candidates(s, ETA).candidates)
+                / graph.num_nodes
             )
         return {k: statistics.fmean(v) for k, v in ratios.items()}
 

@@ -34,10 +34,10 @@ def _run(engines):
         for eta in ETAS:
             nt, mt, t_lb, t_mc, t_base = [], [], [], [], []
             for i, s in enumerate(sources):
-                result = engine.query(s, eta, method="lb")
-                nt.append(result.candidate_result.max_subgraph_nodes)
-                mt.append(result.candidate_result.max_subgraph_arcs)
-                t_lb.append(result.total_seconds)
+                filtered = engine.candidates(s, eta)
+                nt.append(filtered.max_subgraph_nodes)
+                mt.append(filtered.max_subgraph_arcs)
+                t_lb.append(engine.query(s, eta, method="lb").total_seconds)
                 result_mc = engine.query(
                     s, eta, method="mc", num_samples=NUM_SAMPLES, seed=i
                 )

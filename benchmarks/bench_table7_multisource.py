@@ -50,10 +50,12 @@ def _run(engines):
                 result = engine.query(sources, ETA, method="lb")
                 lb_times.append(result.total_seconds)
                 recalls.append(recall(result.nodes, proxy.nodes))
+                # The filter's own entry point: lb queries skip it.
+                filtered = engine.candidates(sources, ETA)
                 cg_precisions.append(
-                    precision(result.candidate_result.candidates, proxy.nodes)
+                    precision(filtered.candidates, proxy.nodes)
                 )
-                height_ratios.append(result.height_ratio)
+                height_ratios.append(filtered.height_ratio(engine.tree))
             results[(set_size, d)] = (
                 statistics.fmean(recalls),
                 statistics.fmean(cg_precisions),

@@ -38,6 +38,7 @@ from .errors import (
     BackendUnavailableError,
     ShardUnavailableError,
     WorkerPoolRestartError,
+    ServiceNotStartedError,
 )
 from .resilience import (
     QueryBudget,
@@ -117,6 +118,7 @@ __all__ = [
     "BackendUnavailableError",
     "ShardUnavailableError",
     "WorkerPoolRestartError",
+    "ServiceNotStartedError",
     # resilience
     "QueryBudget",
     "BudgetClock",

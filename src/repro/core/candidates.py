@@ -44,7 +44,28 @@ __all__ = [
     "multi_source_candidates_greedy",
     "multi_source_candidates_exact",
     "generate_candidates",
+    "check_multi_source_mode",
+    "height_ratio",
 ]
+
+
+def height_ratio(tree_height: int, min_selected_depth: int) -> float:
+    """The paper's Section 7.4 height ratio: tree levels climbed over the
+    height, from the depth of the shallowest selected cluster."""
+    if tree_height == 0:
+        return 0.0
+    climbed = tree_height - min_selected_depth + 1
+    return min(1.0, max(0.0, climbed / (tree_height + 1)))
+
+
+def check_multi_source_mode(multi_source_mode: str) -> None:
+    """Reject a multi-source strategy other than ``"greedy"`` or
+    ``"exact"``."""
+    if multi_source_mode not in ("greedy", "exact"):
+        raise ValueError(
+            f"unknown multi_source_mode {multi_source_mode!r}; "
+            "expected 'greedy' or 'exact'"
+        )
 
 
 def _check_eta(eta: float) -> float:
@@ -111,6 +132,14 @@ class CandidateResult:
     trace: List[TraversalStep] = field(default_factory=list)
     degraded: bool = False
     degraded_reason: Optional[str] = None
+
+    def height_ratio(self, tree: RQTree) -> float:
+        """Section 7.4 height ratio of this traversal over *tree* (0.0
+        when no cluster was selected)."""
+        if not self.selected_clusters:
+            return 0.0
+        depth = min(tree.clusters[i].depth for i in self.selected_clusters)
+        return height_ratio(tree.height, depth)
 
     def explain(self) -> str:
         """Human-readable account of the filtering traversal."""
@@ -555,20 +584,17 @@ def generate_candidates(
             graph, tree, source_list[0], eta,
             engine=engine, bounds_cache=bounds_cache, budget=budget,
         )
-    elif multi_source_mode == "greedy":
-        result = multi_source_candidates_greedy(
-            graph, tree, source_list, eta,
-            engine=engine, bounds_cache=bounds_cache, budget=budget,
-        )
-    elif multi_source_mode == "exact":
-        result = multi_source_candidates_exact(
-            graph, tree, source_list, eta, engine=engine, budget=budget
-        )
     else:
-        raise ValueError(
-            f"unknown multi_source_mode {multi_source_mode!r}; "
-            "expected 'greedy' or 'exact'"
-        )
+        check_multi_source_mode(multi_source_mode)
+        if multi_source_mode == "greedy":
+            result = multi_source_candidates_greedy(
+                graph, tree, source_list, eta,
+                engine=engine, bounds_cache=bounds_cache, budget=budget,
+            )
+        else:
+            result = multi_source_candidates_exact(
+                graph, tree, source_list, eta, engine=engine, budget=budget
+            )
     _record_candidate_metrics(result)
     return result
 

@@ -3,12 +3,15 @@
 :class:`RQTreeEngine` bundles an uncertain graph with its RQ-tree index
 and exposes the paper's two query-evaluation strategies:
 
-* ``method="lb"`` — **RQ-tree-LB**: candidate generation followed by the
-  most-likely-path lower-bound verification (perfect precision, no
-  sampling; Section 5.1);
+* ``method="lb"`` — **RQ-tree-LB**: the most-likely-path lower bound
+  (perfect precision, no sampling; Section 5.1).  Its answer does not
+  depend on the candidate set — every prefix of a path above ``eta`` is
+  itself above ``eta`` — so the engine skips filtering and answers with
+  one truncated Dijkstra over the whole graph
+  (:func:`~repro.core.verification.lower_bound_answer`);
 * ``method="mc"`` — **RQ-tree-MC**: candidate generation followed by
   Monte-Carlo verification on the candidate subgraph (better recall;
-  Section 5.2).
+  Section 5.2).  The other estimators filter the same way.
 
 Every query returns a :class:`QueryResult` carrying the answer set plus
 the instrumentation the paper's evaluation reports: per-phase wall times,
@@ -33,11 +36,17 @@ from ..estimators import (
     validate_method,
 )
 from ..graph.uncertain import UncertainGraph
-from ..resilience.budget import UNVERIFIED, QueryBudget
+from ..resilience.budget import UNVERIFIED, BudgetClock, QueryBudget
 from .builder import BuildReport, build_rqtree
 from .bounds_cache import ClusterBoundsCache
-from .candidates import CandidateResult, generate_candidates
+from .candidates import (
+    CandidateResult,
+    check_multi_source_mode,
+    generate_candidates,
+    height_ratio,
+)
 from .rqtree import RQTree
+from .verification import lower_bound_answer
 
 __all__ = ["QueryResult", "RQTreeEngine"]
 
@@ -62,7 +71,8 @@ class QueryResult:
         return self.candidate_seconds + self.verification_seconds
 
     #: Depth (distance from the root) of the shallowest cluster selected
-    #: by candidate generation; 0 means some cursor climbed to the root.
+    #: by candidate generation; 0 means some cursor climbed to the root
+    #: (or, with no cluster selected, that no filter ran).
     min_selected_depth: int = 0
 
     #: Per-candidate verification statuses (``confirmed`` / ``rejected``
@@ -133,12 +143,12 @@ class QueryResult:
         cluster sits just above the leaves scores near ``1/height``;
         one that climbed to the root scores 1.  For multi-source
         queries the *highest* cursor defines the ratio (the paper's
-        Table 7 values rise towards 1 as source sets spread).
+        Table 7 values rise towards 1 as source sets spread).  0.0 when
+        no cluster was selected (``lb``, which runs no filter).
         """
-        if self.tree_height == 0:
+        if not self.candidate_result.selected_clusters:
             return 0.0
-        climbed = self.tree_height - self.min_selected_depth + 1
-        return min(1.0, max(0.0, climbed / (self.tree_height + 1)))
+        return height_ratio(self.tree_height, self.min_selected_depth)
 
     def explain(self) -> str:
         """A human-readable account of how this query was answered.
@@ -148,15 +158,25 @@ class QueryResult:
         the verification outcome — the query-plan view of the paper's
         two-phase pipeline.
         """
+        if self.method == "lb" and not self.candidate_result.clusters_visited:
+            filtering = (
+                "candidate generation: skipped (lb answers by one truncated "
+                "Dijkstra over the whole graph, cut off at eta; every prefix "
+                "of a path above eta is above eta, so no filter is needed)"
+            )
+            verified = f"truncated Dijkstra kept {len(self.nodes)} node(s)"
+        else:
+            filtering = self.candidate_result.explain()
+            verified = (
+                f"kept {len(self.nodes)} of "
+                f"{len(self.candidate_result.candidates)} candidates"
+            )
         lines = [
             f"RS(S={sorted(self.sources)}, eta={self.eta}) "
             f"via rq-tree-{self.method}",
-            self.candidate_result.explain(),
-            (
-                f"verification [{self.method}]: kept {len(self.nodes)} of "
-                f"{len(self.candidate_result.candidates)} candidates "
-                f"in {self.verification_seconds * 1000:.2f} ms"
-            ),
+            filtering,
+            f"verification [{self.method}]: {verified} "
+            f"in {self.verification_seconds * 1000:.2f} ms",
         ]
         if self.degraded:
             lines.append(
@@ -241,8 +261,14 @@ class RQTreeEngine:
         sources: Union[int, Sequence[int]],
         eta: float,
         multi_source_mode: str = "greedy",
+        budget: Optional[Union[QueryBudget, BudgetClock]] = None,
     ) -> CandidateResult:
-        """Run candidate generation only (the filtering phase)."""
+        """Run candidate generation only (the filtering phase).
+
+        The entry point for the filter's own statistics (candidate and
+        height ratios, boundary-subgraph sizes, traversal trace):
+        ``method="lb"`` queries run no filter.
+        """
         source_list = self._normalize_sources(sources)
         return generate_candidates(
             self.graph,
@@ -252,6 +278,7 @@ class RQTreeEngine:
             engine=self.flow_engine,
             multi_source_mode=multi_source_mode,
             bounds_cache=self.bounds_cache,
+            budget=budget,
         )
 
     def query(
@@ -277,7 +304,8 @@ class RQTreeEngine:
             Probability threshold in (0, 1).
         method:
             Any estimator in :func:`repro.estimators.available_methods`:
-            ``"lb"`` (RQ-tree-LB, perfect precision), ``"lb+"`` (edge
+            ``"lb"`` (RQ-tree-LB, perfect precision; answered by one
+            truncated Dijkstra without filtering), ``"lb+"`` (edge
             packing: perfect precision, better recall; hop budgets
             unsupported), ``"mc"`` (chunked Monte-Carlo), ``"rss"``
             (recursive stratified sampling), ``"lazy"`` (lazy
@@ -292,7 +320,8 @@ class RQTreeEngine:
             Seed for the sampling estimators (ignored for ``"lb"``).
         multi_source_mode:
             ``"greedy"`` (Section 4.3 heuristic) or ``"exact"``
-            (Problem 2 Pareto DP); ignored for single-source queries.
+            (Problem 2 Pareto DP); ignored for single-source queries and
+            for ``"lb"``.
         max_hops:
             Optional hop budget: answer the *distance-constrained*
             reliability-search query (only nodes within ``max_hops``
@@ -324,6 +353,11 @@ class RQTreeEngine:
         source_list = self._normalize_sources(sources)
         validate_method(method, max_hops=max_hops)
         clock = budget.start() if budget is not None else None
+        if method == "lb":
+            # lb runs no filter, but a bad strategy is still misuse.
+            if len(source_list) > 1:
+                check_multi_source_mode(multi_source_mode)
+            return self._lower_bound_query(source_list, eta, max_hops, clock)
         start = time.perf_counter()
         candidate_result = generate_candidates(
             self.graph,
@@ -407,15 +441,61 @@ class RQTreeEngine:
             epoch=self.graph.epoch,
         )
 
+    def _lower_bound_query(
+        self,
+        source_list: List[int],
+        eta: float,
+        max_hops: Optional[int],
+        clock: Optional[BudgetClock],
+    ) -> QueryResult:
+        """RQ-tree-LB without the filter: one truncated Dijkstra.
+
+        The candidate set reported is what the Dijkstra reached above
+        ``eta`` (the kept nodes, plus any a candidate-node cap left
+        unverified); no cluster is visited and no flow is solved.
+        """
+        start = time.perf_counter()
+        report = lower_bound_answer(
+            self.graph, source_list, eta, max_hops=max_hops, budget=clock
+        )
+        verification_seconds = time.perf_counter() - start
+        self._record_query_metrics(
+            "lb", "lb", None, verification_seconds, report.degraded
+        )
+        return QueryResult(
+            nodes=report.kept,
+            eta=eta,
+            sources=source_list,
+            method="lb",
+            candidate_result=CandidateResult(
+                candidates=set(report.statuses),
+                clusters_visited=0,
+                flow_calls=0,
+                final_upper_bound=0.0,
+            ),
+            candidate_seconds=0.0,
+            verification_seconds=verification_seconds,
+            tree_height=self.tree.height,
+            num_graph_nodes=self.graph.num_nodes,
+            statuses=report.statuses,
+            degraded=report.degraded,
+            degraded_reason=report.degraded_reason,
+            estimator="lb",
+            planner_reason="explicit method 'lb'",
+            estimates=report.estimates,
+            epoch=self.graph.epoch,
+        )
+
     @staticmethod
     def _record_query_metrics(
         method: str,
         estimator_used: str,
-        candidate_seconds: float,
+        candidate_seconds: Optional[float],
         verification_seconds: float,
         degraded: bool,
     ) -> None:
-        """Per-stage timers and query counters for the serving layer."""
+        """Per-stage timers and query counters for the serving layer
+        (no filter sample when no filter ran)."""
         from ..service.metrics import get_registry
 
         registry = get_registry()
@@ -423,7 +503,10 @@ class RQTreeEngine:
         registry.counter(f"engine.queries.{method}").inc()
         if degraded:
             registry.counter("engine.degraded").inc()
-        registry.histogram("engine.filter_seconds").observe(candidate_seconds)
+        if candidate_seconds is not None:
+            registry.histogram("engine.filter_seconds").observe(
+                candidate_seconds
+            )
         registry.histogram("engine.verify_seconds").observe(
             verification_seconds
         )

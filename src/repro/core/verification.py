@@ -8,7 +8,10 @@ positives; verification filters them:
   least ``η`` (Theorem 4).  Since ``L_R(S, t) ≤ R(S, t)``, every kept
   node truly satisfies the query — **perfect precision** — and the
   computation is one multi-source Dijkstra on the candidate-induced
-  subgraph: no sampling at all.
+  subgraph: no sampling at all.  The kept set does not depend on the
+  candidates (any prefix of an above-``η`` path is itself above ``η``),
+  so :func:`lower_bound_answer` computes it with one truncated Dijkstra
+  over the whole graph and no filter.
 
 * :func:`verify_sampling` (Section 5.2, ``RQ-tree-MC``) Monte-Carlo
   samples the candidate-induced subgraph only, keeping candidates
@@ -46,6 +49,8 @@ from ..resilience.budget import (
 
 __all__ = [
     "VerificationReport",
+    "lower_bound_answer",
+    "lower_bound_cutoff",
     "verify_lower_bound",
     "verify_lower_bound_report",
     "verify_lower_bound_packing",
@@ -62,6 +67,13 @@ _BUDGET_CHUNK_WORLDS = 256
 #: Relative tolerance when comparing a path probability against eta;
 #: compensates for the exp(log(...)) round trip in the Dijkstra weights.
 _ETA_SLACK = 1e-9
+
+
+def lower_bound_cutoff(eta: float) -> float:
+    """The value a most-likely-path probability must reach to count as
+    at least *eta*.  Every lower-bound comparison uses it, so answers
+    agree bit for bit wherever they are computed."""
+    return eta * (1.0 - _ETA_SLACK)
 
 
 def _record_verify_metrics(worlds: int, fallbacks: int) -> None:
@@ -264,7 +276,7 @@ def verify_lower_bound_report(
             degraded_reason="deadline expired before verification",
         )
 
-    cutoff = eta * (1.0 - _ETA_SLACK)
+    cutoff = lower_bound_cutoff(eta)
     if max_hops is None:
         probabilities = most_likely_path_probabilities(
             graph,
@@ -296,6 +308,81 @@ def verify_lower_bound_report(
             if dropped else None
         ),
         estimates=dict(probabilities),
+    )
+
+
+def lower_bound_answer(
+    graph: UncertainGraph,
+    sources: Sequence[int],
+    eta: float,
+    max_hops: Optional[int] = None,
+    budget: Optional[Union[QueryBudget, BudgetClock]] = None,
+) -> VerificationReport:
+    """The RQ-tree-LB answer ``{t : L_R(S, t) >= eta}`` by one truncated
+    Dijkstra over the whole graph (the hop-bounded relaxation with
+    *max_hops*), with no candidate set.
+
+    This is exactly what :func:`verify_lower_bound_report` keeps for any
+    sound candidate set: arc probabilities are at most 1, so every
+    prefix of a path above ``eta`` is itself above ``eta``, all of the
+    path's nodes are candidates (Section 5.1, Theorem 4), and the
+    restriction never hides it.  Cutting the search off at ``eta`` keeps
+    its work to the answer's own out-neighbourhood.
+
+    The report's statuses hold the kept nodes, all :data:`CONFIRMED`.
+    Budget handling: an expired clock skips the pass and confirms only
+    the sources (``R(S, s) = 1``).  ``max_candidate_nodes`` caps the
+    nodes the Dijkstra settles; settled values are final, so every kept
+    node is exact, and the reached-but-unsettled rest is reported
+    :data:`UNVERIFIED`.  The hop-bounded relaxation settles nothing
+    before its last layer and is already bounded by *max_hops* layers,
+    so the cap does not apply to it.
+    """
+    source_set = _check(eta, sources)
+    clock = BudgetClock.ensure(budget)
+    if clock is not None and clock.expired():
+        return VerificationReport(
+            kept=set(source_set),
+            statuses={node: CONFIRMED for node in source_set},
+            degraded=True,
+            degraded_reason="deadline expired before verification",
+        )
+    cutoff = lower_bound_cutoff(eta)
+    cap = None if clock is None else clock.budget.max_candidate_nodes
+    frontier: Set[int] = set()
+    if max_hops is None:
+        probabilities = most_likely_path_probabilities(
+            graph,
+            source_set,
+            min_probability=cutoff,
+            max_settled=cap,
+            frontier=frontier,
+        )
+    else:
+        probabilities = hop_bounded_path_probabilities(
+            graph, source_set, max_hops, min_probability=cutoff
+        )
+    kept = {
+        node
+        for node, probability in probabilities.items()
+        if probability >= cutoff
+    }
+    kept |= source_set
+    frontier -= kept
+    statuses = {node: UNVERIFIED for node in frontier}
+    statuses.update((node, CONFIRMED) for node in kept)
+    estimates = dict(probabilities)
+    estimates.update((node, 1.0) for node in source_set)
+    return VerificationReport(
+        kept=kept,
+        statuses=statuses,
+        degraded=bool(frontier),
+        degraded_reason=(
+            f"candidate-node cap of {cap} stopped the Dijkstra; reached "
+            "nodes past it are unverified"
+            if frontier else None
+        ),
+        estimates=estimates,
     )
 
 
@@ -351,7 +438,7 @@ def packing_bounds(
     source_set = _check(eta, sources)
     if max_paths < 1:
         raise ValueError(f"max_paths must be >= 1, got {max_paths}")
-    threshold = eta * (1.0 - _ETA_SLACK)
+    threshold = lower_bound_cutoff(eta)
     present_sources = source_set & candidates
     # Bulk single-path pass first (cheap); also yields the best single
     # path probability of every undecided candidate.

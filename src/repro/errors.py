@@ -210,6 +210,23 @@ class WorkerPoolRestartError(ReproError, RuntimeError):
         )
 
 
+class ServiceNotStartedError(ReproError, RuntimeError):
+    """:meth:`ReliabilityService.query` was called on a service that is
+    not running.
+
+    ``query()`` blocks until a worker answers, and only a started
+    service has workers: before ``start()`` (or after ``stop()``) it
+    would wait forever.  ``submit()`` still stages requests before
+    ``start()``; their futures resolve once the workers run.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(
+            "ReliabilityService.query() needs a running service: call "
+            "start() first (or use the service as a context manager)"
+        )
+
+
 class BackendUnavailableError(ReproError, ValueError):
     """An explicitly requested sampling backend cannot run here.
 

@@ -77,8 +77,11 @@ def run_quality_experiment(
     For every query in *workload*: compute the MC-Sampling proxy answer
     on the full graph (timed — it doubles as the baseline runtime
     column), then each requested RQ-tree method, scoring against the
-    proxy.  Returns one aggregate row per method plus the
-    ``"mc-sampling"`` baseline row.
+    proxy.  The filter's statistics (candidate precision and ratio,
+    height ratio, candidate time) come from one timed
+    :meth:`RQTreeEngine.candidates` call per query — ``lb`` runs no
+    filter — and are the same in every method's row.  Returns one
+    aggregate row per method plus the ``"mc-sampling"`` baseline row.
     """
     graph = engine.graph
     records: Dict[str, List[QueryRecord]] = {m: [] for m in methods}
@@ -98,6 +101,10 @@ def run_quality_experiment(
         )
         mc_times.append(proxy.seconds)
         truth = proxy.nodes
+        start = time.perf_counter()
+        filtered = engine.candidates(source_list, eta, multi_source_mode)
+        candidate_seconds = time.perf_counter() - start
+        candidates = filtered.candidates
         for method in methods:
             result: QueryResult = engine.query(
                 source_list,
@@ -107,7 +114,6 @@ def run_quality_experiment(
                 seed=query_seed,
                 multi_source_mode=multi_source_mode,
             )
-            candidates = result.candidate_result.candidates
             records[method].append(
                 QueryRecord(
                     sources=source_list,
@@ -119,9 +125,9 @@ def run_quality_experiment(
                     precision=precision(result.nodes, truth),
                     recall=recall(result.nodes, truth),
                     candidate_precision=precision(candidates, truth),
-                    candidate_ratio=result.candidate_ratio,
-                    height_ratio=result.height_ratio,
-                    candidate_seconds=result.candidate_seconds,
+                    candidate_ratio=len(candidates) / graph.num_nodes,
+                    height_ratio=filtered.height_ratio(engine.tree),
+                    candidate_seconds=candidate_seconds,
                 )
             )
 

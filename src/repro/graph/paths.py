@@ -53,6 +53,8 @@ def most_likely_path_probabilities(
     sources: Iterable[int],
     allowed: Optional[Set[int]] = None,
     min_probability: float = 0.0,
+    max_settled: Optional[int] = None,
+    frontier: Optional[Set[int]] = None,
 ) -> Dict[int, float]:
     """Most-likely-path probability from a source set to every node.
 
@@ -76,6 +78,16 @@ def most_likely_path_probabilities(
         this value are not expanded or reported.  Passing the query
         threshold ``eta`` here prunes the search frontier exactly at the
         verification boundary.
+    max_settled:
+        Optional cap on the number of nodes the search settles.  Dijkstra
+        settles nodes in order of decreasing probability and a settled
+        value is final, so when the cap stops the search the returned
+        map holds settled nodes only (at most *max_settled*), every
+        value exact.
+    frontier:
+        Optional set that receives the nodes the search reached but
+        left unsettled when *max_settled* stopped it (empty when the
+        search ran to completion).
     """
     max_distance = (
         math.inf if min_probability <= 0.0 else -math.log(min_probability)
@@ -90,10 +102,21 @@ def most_likely_path_probabilities(
         if dist.get(s, math.inf) > 0.0:
             dist[s] = 0.0
             heapq.heappush(heap, (0.0, s))
+    remaining = math.inf if max_settled is None else max_settled
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist.get(u, math.inf):
             continue
+        remaining -= 1
+        if remaining < 0:
+            # Cap reached.  The queue's minimum is d, so every node nearer
+            # than d is settled and final; the rest (ties at d included)
+            # are reported as tentative.
+            final = {t: dt for t, dt in dist.items() if dt < d}
+            if frontier is not None:
+                frontier.update(t for t in dist if t not in final)
+            dist = final
+            break
         for v, p in graph.successors(u).items():
             if allowed is not None and v not in allowed:
                 continue

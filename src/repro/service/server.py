@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..core.caching import CachingRQTreeEngine
 from ..core.candidates import CandidateResult
 from ..core.engine import QueryResult, RQTreeEngine
+from ..errors import ServiceNotStartedError
 from ..estimators import is_cacheable, validate_method
 from ..resilience.budget import QueryBudget
 from ..shard.engine import ShardedRQTreeEngine
@@ -359,7 +360,13 @@ class ReliabilityService:
         timeout: Optional[float] = None,
         **kwargs: object,
     ) -> QueryResult:
-        """Blocking convenience wrapper over :meth:`submit`."""
+        """Blocking convenience wrapper over :meth:`submit`.
+
+        Raises :class:`~repro.errors.ServiceNotStartedError` unless the
+        service is running: no worker would ever answer.
+        """
+        if not self.running:
+            raise ServiceNotStartedError()
         return self.submit(sources, eta, **kwargs).result(timeout=timeout)
 
     def shed_pressure(self) -> float:

@@ -23,10 +23,10 @@ process in ``mode="process"``).  A query runs in three steps:
    the whole graph (frontier arcs included), cut off at the query
    threshold, expands only nodes whose most-likely-path probability
    can still reach ``η`` — the answer's own neighbourhood, not the
-   graph.  For ``method="lb"`` this *is* the final answer (and it
-   equals the single-engine answer exactly: any prefix of an
-   above-threshold path is itself above threshold, so candidate
-   restriction never hides an optimal path).  For ``"lb+"`` the
+   graph.  For ``method="lb"`` this *is* the final answer, computed by
+   the single engine's own lb function
+   (:func:`~repro.core.verification.lower_bound_answer`), so the two
+   agree exactly.  For ``"lb+"`` the
    edge-packing verifier reruns over the merged pool.  For ``"mc"``
    the existing batched sampling kernel verifies the merged pool on
    the *whole* graph — per-shard MC would miss cross-shard worlds —
@@ -61,7 +61,11 @@ from ..graph.paths import (
     most_likely_path_probabilities,
 )
 from ..graph.uncertain import UncertainGraph
-from ..core.verification import packing_bounds
+from ..core.verification import (
+    lower_bound_answer,
+    lower_bound_cutoff,
+    packing_bounds,
+)
 from ..estimators import (
     AUTO,
     EstimateRequest,
@@ -84,12 +88,6 @@ from .supervisor import ShardSupervisor, SupervisorPolicy
 from .worker import InlineShardClient, ProcessShardClient
 
 __all__ = ["ShardedRQTreeEngine"]
-
-#: Mirrors repro.core.verification._ETA_SLACK: the relative tolerance
-#: the lower-bound verifier applies when comparing against eta.  The
-#: gateway's refinement pass must use the identical cutoff to reproduce
-#: single-engine answers bit for bit.
-_ETA_SLACK = 1e-9
 
 #: Grace added to a budgeted query's shard-response timeout: covers
 #: queue hops so a shard that honours its (already expired) deadline
@@ -685,9 +683,30 @@ class ShardedRQTreeEngine:
                 ),
             )
 
-        cutoff = eta * (1.0 - _ETA_SLACK)
+        if method == "lb":
+            # The single engine's own lb answer: one truncated Dijkstra
+            # over the whole graph, so the two agree bit for bit.
+            report = lower_bound_answer(
+                graph, source_list, eta, max_hops=max_hops
+            )
+            kept = report.kept | confirmed
+            pool = candidates | kept
+            statuses = {
+                node: (CONFIRMED if node in kept else REJECTED)
+                for node in pool
+            }
+            estimates = {
+                node: report.estimates.get(node, 0.0) for node in pool
+            }
+            return _refined(
+                kept, pool, statuses,
+                estimates=estimates, estimator="lb",
+                planner_reason=f"explicit method {method!r}",
+            )
+
+        cutoff = lower_bound_cutoff(eta)
         probe = cutoff
-        if method != "lb" and self.mc_refine_floor > 0.0:
+        if self.mc_refine_floor > 0.0:
             probe = min(cutoff, eta * self.mc_refine_floor)
         if max_hops is not None:
             reachable = hop_bounded_path_probabilities(
@@ -700,24 +719,6 @@ class ShardedRQTreeEngine:
         certified = {
             node for node, prob in reachable.items() if prob >= cutoff
         }
-
-        if method == "lb":
-            kept = certified | confirmed
-            pool = candidates | kept
-            statuses = {
-                node: (CONFIRMED if node in kept else REJECTED)
-                for node in pool
-            }
-            estimates = {
-                node: reachable.get(node, 0.0) for node in pool
-            }
-            for s in source_set:
-                estimates[s] = 1.0
-            return _refined(
-                kept, pool, statuses,
-                estimates=estimates, estimator="lb",
-                planner_reason=f"explicit method {method!r}",
-            )
 
         if method == "lb+":
             pool = candidates | set(reachable) | certified | source_set

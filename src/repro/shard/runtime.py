@@ -39,6 +39,7 @@ import time
 from typing import Dict, List, Optional
 
 from ..core.engine import RQTreeEngine
+from ..core.verification import verify_lower_bound_report
 from ..graph.uncertain import UncertainGraph
 from ..resilience.budget import QueryBudget
 from ..resilience.faultinject import fault_point
@@ -286,32 +287,46 @@ class ShardRuntime:
         budget: Optional[QueryBudget] = (
             QueryBudget(**budget_spec) if budget_spec else None
         )
-        result = self.engine.query(
+        clock = budget.start() if budget is not None else None
+        engine = self.engine
+        # The filter runs explicitly: the shard's candidate set seeds the
+        # gateway's pool, and an lb query on the engine would skip it.
+        filter_start = time.perf_counter()
+        candidate_result = engine.candidates(
             sources,
             request["eta"],
-            method="lb",
             multi_source_mode=request.get("multi_source_mode", "greedy"),
-            max_hops=request.get("max_hops"),
-            budget=budget,
+            budget=clock,
         )
+        verify_start = time.perf_counter()
+        report = verify_lower_bound_report(
+            engine.graph,
+            sources,
+            request["eta"],
+            candidate_result.candidates,
+            max_hops=request.get("max_hops"),
+            budget=clock,
+        )
+        done = time.perf_counter()
         lift = self._global_ids
-        candidate_result = result.candidate_result
         return {
             "shard_id": self.shard_id,
             "epoch": self.epoch,
             "candidates": [
                 lift[node] for node in candidate_result.candidates
             ],
-            "kept": [lift[node] for node in result.nodes],
+            "kept": [lift[node] for node in report.kept],
             # Note: no per-node status map — the gateway recomputes
             # statuses during refinement, so shipping them would only
             # bloat the per-query response.
-            "seconds": time.perf_counter() - started,
-            "candidate_seconds": result.candidate_seconds,
-            "verification_seconds": result.verification_seconds,
-            "tree_height": result.tree_height,
-            "degraded": result.degraded,
-            "degraded_reason": result.degraded_reason,
+            "seconds": done - started,
+            "candidate_seconds": verify_start - filter_start,
+            "verification_seconds": done - verify_start,
+            "tree_height": self.tree_height,
+            "degraded": candidate_result.degraded or report.degraded,
+            "degraded_reason": (
+                candidate_result.degraded_reason or report.degraded_reason
+            ),
             "clusters_visited": candidate_result.clusters_visited,
             "flow_calls": candidate_result.flow_calls,
             "max_subgraph_nodes": candidate_result.max_subgraph_nodes,

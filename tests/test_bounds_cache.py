@@ -83,15 +83,15 @@ class TestEngineIntegration:
     def test_repeat_queries_hit_cache(self):
         graph = nethept_like(n=100, seed=4)
         engine = RQTreeEngine.build(graph, seed=4)
-        engine.query(0, 0.6)
+        engine.candidates(0, 0.6)
         hits_before = engine.bounds_cache.hits
-        engine.query(0, 0.6)
+        engine.candidates(0, 0.6)
         assert engine.bounds_cache.hits > hits_before
 
     def test_multi_source_uses_cache(self):
         graph = nethept_like(n=100, seed=4)
         engine = RQTreeEngine.build(graph, seed=4)
-        engine.query([0, 50], 0.6)
+        engine.candidates([0, 50], 0.6)
         total = engine.bounds_cache.hits + engine.bounds_cache.misses
         assert total > 0
 

@@ -96,12 +96,16 @@ class TestQueryStatistics:
         )
 
     def test_ratio_ranges(self, medium_engine):
-        result = medium_engine.query(0, 0.6)
+        result = medium_engine.query(
+            0, 0.6, method="mc", num_samples=50, seed=0
+        )
         assert 0.0 <= result.height_ratio <= 1.0
         assert 0.0 < result.candidate_ratio <= 1.0
 
     def test_candidate_ratio_definition(self, medium_engine):
-        result = medium_engine.query(0, 0.6)
+        result = medium_engine.query(
+            0, 0.6, method="mc", num_samples=50, seed=0
+        )
         expected = len(result.candidate_result.candidates) / 300
         assert result.candidate_ratio == pytest.approx(expected)
 
@@ -119,7 +123,9 @@ class TestQueryStatistics:
 class TestCandidatesShortcut:
     def test_candidates_matches_query_phase(self, medium_engine):
         direct = medium_engine.candidates(3, 0.6)
-        via_query = medium_engine.query(3, 0.6).candidate_result
+        via_query = medium_engine.query(
+            3, 0.6, method="mc", num_samples=50, seed=0
+        ).candidate_result
         assert direct.candidates == via_query.candidates
 
     def test_multi_source_candidates(self, medium_engine):

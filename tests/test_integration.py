@@ -103,7 +103,9 @@ class TestPruningBehaviour:
         queries = single_source_workload(dblp_graph, 10, seed=4)
         def avg_ratio(eta):
             ratios = [
-                dblp_engine.query(s, eta).candidate_ratio for s in queries
+                len(dblp_engine.candidates(s, eta).candidates)
+                / dblp_graph.num_nodes
+                for s in queries
             ]
             return sum(ratios) / len(ratios)
         assert avg_ratio(0.8) <= avg_ratio(0.4) + 1e-9
@@ -113,7 +115,7 @@ class TestPruningBehaviour:
         # should usually be far smaller than the graph.
         queries = single_source_workload(dblp_graph, 10, seed=5)
         sizes = [
-            dblp_engine.query(s, 0.7).candidate_result.max_subgraph_nodes
+            dblp_engine.candidates(s, 0.7).max_subgraph_nodes
             for s in queries
         ]
         assert sum(sizes) / len(sizes) < dblp_graph.num_nodes

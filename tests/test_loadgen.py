@@ -241,12 +241,13 @@ def test_drive_arms_storm_in_process(fresh_registry, medium_engine):
 
     # candidates.generate fires on every uncached query and surfaces
     # as a deterministic 400 through the service, so with p=1.0 the
-    # storm window is directly legible in the error counts.
+    # storm window is directly legible in the error counts.  (lb+
+    # rather than lb: an lb query runs no candidate generation.)
     profile = WorkloadProfile(
         name="storm_candidates",
         description="always-on faults at the candidate generator",
         zipf_exponent=0.0,
-        method_weights={"lb": 1.0},
+        method_weights={"lb+": 1.0},
         storm=StormSpec(
             points=("candidates.generate",), probability=1.0,
             start_fraction=0.3, end_fraction=0.7,

@@ -232,7 +232,7 @@ class TestFaultSurfaces:
         _, engine = small_engine
         with FaultPlan({"candidates.generate": 1}):
             with pytest.raises(ReproError):
-                engine.query(0, eta=0.4)
+                engine.query(0, eta=0.4, method="mc", seed=1)
 
     def test_serialization_faults(self, small_engine, tmp_path):
         _, engine = small_engine
@@ -249,8 +249,8 @@ class TestFaultSurfaces:
         _, engine = small_engine
         with FaultPlan({"candidates.generate": 1}):
             with pytest.raises(ReproError):
-                engine.query(0, eta=0.4)
-        result = engine.query(0, eta=0.4)
+                engine.query(0, eta=0.4, method="mc", seed=1)
+        result = engine.query(0, eta=0.4, method="mc", seed=1)
         assert result.nodes  # the source at minimum
 
 
@@ -298,7 +298,7 @@ class TestQueryBudget:
 
     def test_expired_deadline_degrades_candidates_to_root(self, small_engine):
         graph, engine = small_engine
-        result = engine.query(0, eta=0.4, budget=EXPIRED)
+        result = engine.query(0, eta=0.4, method="mc", seed=1, budget=EXPIRED)
         assert result.degraded
         assert result.candidate_result.degraded
         assert result.candidate_result.candidates == set(graph.nodes())
@@ -443,7 +443,7 @@ class TestCLI:
         with FaultPlan({"candidates.generate": 1}):
             code = main([
                 "query", "--graph", graph_file, "--sources", "0",
-                "--eta", "0.5",
+                "--eta", "0.5", "--method", "mc",
             ])
         captured = capsys.readouterr()
         assert code == 2

@@ -501,11 +501,12 @@ def test_registry_snapshot_and_name_collisions(fresh_registry):
 
 def test_service_snapshot_merges_cache_stats(medium_engine, fresh_registry):
     caching = CachingRQTreeEngine(medium_engine)
-    caching.query([2], 0.5)
-    caching.query([2], 0.5)
+    caching.query([2], 0.5, method="mc", num_samples=50, seed=1)
+    caching.query([2], 0.5, method="mc", num_samples=50, seed=1)
     service = ReliabilityService(caching, workers=1)
     with service:
-        service.query([2], 0.5, timeout=60)
+        service.query([2], 0.5, timeout=60, method="mc", num_samples=50,
+                      seed=1)
     snapshot = service.metrics_snapshot()
     json.dumps(snapshot)
     assert snapshot["service"]["engine_cache"]["hits"] == 1

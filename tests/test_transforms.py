@@ -121,29 +121,29 @@ class TestExplain:
     def test_single_source_explain_mentions_acceptance(self):
         graph = nethept_like(n=100, seed=2)
         engine = RQTreeEngine.build(graph, seed=2)
-        text = engine.query(0, 0.6).explain()
+        text = engine.candidates(0, 0.6).explain()
         assert "accepted" in text
         assert "candidate generation" in text
-        assert "verification [lb]" in text
+        assert "verification [lb]" in engine.query(0, 0.6).explain()
 
     def test_trace_depths_decrease(self):
         graph = nethept_like(n=100, seed=2)
         engine = RQTreeEngine.build(graph, seed=2)
-        trace = engine.query(0, 0.6).candidate_result.trace
+        trace = engine.candidates(0, 0.6).trace
         depths = [step.depth for step in trace]
         assert depths == sorted(depths, reverse=True)
 
     def test_trace_last_step_accepted(self):
         graph = nethept_like(n=100, seed=2)
         engine = RQTreeEngine.build(graph, seed=2)
-        trace = engine.query(5, 0.6).candidate_result.trace
+        trace = engine.candidates(5, 0.6).trace
         assert trace[-1].accepted
         assert all(not step.accepted for step in trace[:-1])
 
     def test_trace_bounds_match_final(self):
         graph = nethept_like(n=100, seed=2)
         engine = RQTreeEngine.build(graph, seed=2)
-        result = engine.query(5, 0.6).candidate_result
+        result = engine.candidates(5, 0.6)
         assert result.trace[-1].bound == pytest.approx(
             result.final_upper_bound
         )
@@ -151,19 +151,19 @@ class TestExplain:
     def test_multi_source_explain(self):
         graph = nethept_like(n=100, seed=2)
         engine = RQTreeEngine.build(graph, seed=2)
-        result = engine.query([0, 90], 0.6)
+        result = engine.candidates([0, 90], 0.6)
         text = result.explain()
         assert "cluster(s) evaluated" in text
         # Every selected cluster is marked accepted in the trace.
         accepted = {
             step.cluster_index
-            for step in result.candidate_result.trace
+            for step in result.trace
             if step.accepted
         }
-        assert set(result.candidate_result.selected_clusters) <= accepted
+        assert set(result.selected_clusters) <= accepted
 
     def test_trace_via_values(self):
         graph = nethept_like(n=100, seed=2)
         engine = RQTreeEngine.build(graph, seed=2)
-        trace = engine.query(7, 0.6).candidate_result.trace
+        trace = engine.candidates(7, 0.6).trace
         assert all(step.via in ("cache", "cheap", "flow") for step in trace)
